@@ -166,9 +166,12 @@ def _timed_run(module, entry: str, args, extra_tracers=(), config=None):
     ``tests/machine/test_vector_timing.py``).  ``config`` flags select
     slower paths: ``vector_timing=False`` falls back to a
     :class:`TimingTracer`, ``fast_interp=False`` to the reference
-    interpreter.  Per-instruction tracers (e.g. SPT trace collectors)
-    automatically disable hot traces but still ride the compiled
-    machine.
+    interpreter.  With the engine, SPT trace collectors among
+    ``extra_tracers`` are loop-scoped (:mod:`repro.profiling.capture`):
+    their loops' ops are captured inline with load ticks from the
+    engine's cache hierarchy, and everything else keeps hot traces.
+    Without it, and for tracers hooking per-op events, hooks are
+    dispatched per op and hot traces stay off.
     """
     fast = config.fast_interp if config is not None else True
     trace = config.trace_interp if config is not None else True
@@ -224,11 +227,7 @@ def run_benchmark(
             continue
         collectors.append(
             SptTraceCollector(
-                candidate.func_name,
-                loop.header,
-                loop.body,
-                info.loop_id,
-                TimingModel(),
+                candidate.func_name, loop.header, loop.body, info.loop_id
             )
         )
         collector_meta.append(

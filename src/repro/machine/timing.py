@@ -84,6 +84,34 @@ BRANCH_BASE_CYCLES = BRANCH_BASE_TICKS / TICKS_PER_CYCLE
 MISPREDICT_PENALTY = MISPREDICT_TICKS / TICKS_PER_CYCLE
 
 
+def instr_base_ticks(instr: Instr) -> int:
+    """Ticks of one instruction excluding cache and branch-prediction
+    effects (a pure function of the instruction)."""
+    if isinstance(instr, BinOp):
+        if instr.op in ("div", "mod"):
+            return DIV_TICKS
+        if instr.op == "mul":
+            return MUL_TICKS
+        return ALU_TICKS
+    if isinstance(instr, UnOp):
+        return ALU_TICKS
+    if isinstance(instr, (Copy, LoadAddr)):
+        return COPY_TICKS
+    if isinstance(instr, Load):
+        return LOAD_BASE_TICKS
+    if isinstance(instr, Store):
+        return STORE_TICKS
+    if isinstance(instr, Call):
+        return CALL_OVERHEAD_TICKS
+    if isinstance(instr, Return):
+        return RETURN_TICKS
+    if isinstance(instr, Branch):
+        return BRANCH_BASE_TICKS
+    if isinstance(instr, (Jump, Phi, SptFork, SptKill)):
+        return 0
+    return ALU_TICKS
+
+
 class TimingModel:
     """Stateless-per-op latency computation over shared cache/predictor
     state."""
@@ -104,35 +132,9 @@ class TimingModel:
         entry = self._tick_memo.get(id(instr))
         if entry is not None:
             return entry[1]
-        ticks = self._classify_ticks(instr)
+        ticks = instr_base_ticks(instr)
         self._tick_memo[id(instr)] = (instr, ticks)
         return ticks
-
-    @staticmethod
-    def _classify_ticks(instr: Instr) -> int:
-        if isinstance(instr, BinOp):
-            if instr.op in ("div", "mod"):
-                return DIV_TICKS
-            if instr.op == "mul":
-                return MUL_TICKS
-            return ALU_TICKS
-        if isinstance(instr, UnOp):
-            return ALU_TICKS
-        if isinstance(instr, (Copy, LoadAddr)):
-            return COPY_TICKS
-        if isinstance(instr, Load):
-            return LOAD_BASE_TICKS
-        if isinstance(instr, Store):
-            return STORE_TICKS
-        if isinstance(instr, Call):
-            return CALL_OVERHEAD_TICKS
-        if isinstance(instr, Return):
-            return RETURN_TICKS
-        if isinstance(instr, Branch):
-            return BRANCH_BASE_TICKS
-        if isinstance(instr, (Jump, Phi, SptFork, SptKill)):
-            return 0
-        return ALU_TICKS
 
     def base_latency(self, instr: Instr) -> float:
         """Latency in cycles excluding cache and branch effects."""

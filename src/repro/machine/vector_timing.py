@@ -203,10 +203,13 @@ class VectorTimingEngine(TimingTracer):
             instructions += entry[2]
         self._pass_memo[key] = (pending, instructions)
 
-    def load(self, addr: int) -> None:
+    def load(self, addr: int) -> int:
         """Dynamic residual of one memory read (program order matters:
-        the cache hierarchy is stateful)."""
-        self._pending += self.model.hierarchy.access_ticks(addr)
+        the cache hierarchy is stateful).  Returns the charged ticks
+        (loop-scoped capture attaches them to the load's record)."""
+        ticks = self.model.hierarchy.access_ticks(addr)
+        self._pending += ticks
+        return ticks
 
     def store(self, addr: int) -> None:
         """Write-allocate fill for one store (no ticks charged)."""
