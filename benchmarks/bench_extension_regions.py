@@ -16,7 +16,6 @@ from repro.core.regions import choose_region_split
 from repro.core.selection import CATEGORY_BODY_TOO_LARGE
 from repro.ir import parse_module
 from repro.machine.region_sim import RegionTraceCollector, simulate_region_loop
-from repro.machine.timing import TimingModel
 from repro.profiling import run_module
 from repro.report.tables import format_table
 
@@ -83,7 +82,7 @@ def test_region_speculation_recovers_large_loop(benchmark):
         nest = LoopNest.build(func)
         loop = next(l for l in nest.loops if l.header == split.loop.header)
         collector = RegionTraceCollector(
-            "main", loop.header, loop.body, split.b_labels, TimingModel()
+            "main", loop.header, loop.body, split.b_labels
         )
         run_module(module, args=[120], tracers=[collector])
         stats = simulate_region_loop(collector, split.split_label)

@@ -8,7 +8,6 @@ from repro.core import SptConfig, Workload, compile_spt
 from repro.frontend import compile_minic
 from repro.ir import format_function
 from repro.machine.spt_sim import SptTraceCollector, simulate_spt_loop
-from repro.machine.timing import TimingModel
 from repro.analysis.loops import LoopNest
 from repro.profiling import Machine
 
@@ -73,7 +72,7 @@ def main() -> None:
         nest = LoopNest.build(func)
         loop = next(l for l in nest.loops if l.header == info.header)
         collector = SptTraceCollector(
-            "main", loop.header, loop.body, info.loop_id, TimingModel()
+            "main", loop.header, loop.body, info.loop_id
         )
         machine = Machine(module)
         machine.add_tracer(collector)

@@ -24,7 +24,7 @@ from repro.machine.spt_sim import (
     SptTraceCollector,
     _replay_speculative,
 )
-from repro.machine.timing import TICKS_PER_CYCLE, TimingModel
+from repro.machine.timing import TICKS_PER_CYCLE
 
 
 class RegionTraceCollector(SptTraceCollector):
@@ -37,9 +37,8 @@ class RegionTraceCollector(SptTraceCollector):
         header: str,
         body_labels: Set[str],
         b_labels: Set[str],
-        model: TimingModel,
     ):
-        super().__init__(func_name, header, body_labels, loop_id=-1, model=model)
+        super().__init__(func_name, header, body_labels, loop_id=-1)
         self.b_labels = set(b_labels)
 
     def on_block(self, func: Function, block: Block, prev_label) -> None:

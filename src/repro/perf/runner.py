@@ -79,7 +79,7 @@ def build_simulation(module, compile_result, *, fuel: int, telemetry=None):
         collectors.append(
             SptTraceCollector(
                 candidate.func_name, loop.header, loop.body,
-                info.loop_id, TimingModel(),
+                info.loop_id,
             )
         )
 

@@ -4,7 +4,6 @@ invocation boundaries."""
 from repro.analysis.loops import LoopNest
 from repro.ir import parse_module
 from repro.machine.spt_sim import SptTraceCollector, simulate_spt_loop
-from repro.machine.timing import TimingModel
 from repro.profiling import run_module
 
 WITH_CALL = """\
@@ -46,7 +45,7 @@ def _collect(source, args, func_name="main", header="head"):
     nest = LoopNest.build(func)
     loop = next(l for l in nest.loops if l.header == header)
     collector = SptTraceCollector(
-        func_name, loop.header, loop.body, 0, TimingModel()
+        func_name, loop.header, loop.body, 0
     )
     run_module(module, func_name=func_name, args=args, tracers=[collector])
     return collector
@@ -125,7 +124,7 @@ def test_multiple_invocations_tracked_separately():
     func = module.function("work")
     nest = LoopNest.build(func)
     loop = nest.loops[0]
-    collector = SptTraceCollector("work", loop.header, loop.body, 0, TimingModel())
+    collector = SptTraceCollector("work", loop.header, loop.body, 0)
     run_module(module, func_name="main", args=[5], tracers=[collector])
     assert len(collector.invocations) == 2
     assert len(collector.invocations[0]) == 3
@@ -137,7 +136,7 @@ def test_stats_accumulate_across_invocations():
     func = module.function("work")
     nest = LoopNest.build(func)
     loop = nest.loops[0]
-    collector = SptTraceCollector("work", loop.header, loop.body, 0, TimingModel())
+    collector = SptTraceCollector("work", loop.header, loop.body, 0)
     run_module(module, func_name="main", args=[6], tracers=[collector])
     stats = simulate_spt_loop(collector)
     assert stats.invocations == 2

@@ -22,7 +22,6 @@ from repro.machine.spt_sim import (
     SptTraceCollector,
     simulate_spt_loop,
 )
-from repro.machine.timing import TimingModel
 from repro.profiling import run_module
 
 _STMTS = [
@@ -81,7 +80,7 @@ def _simulate(source, n, prefork_fraction):
     nest2 = LoopNest.build(func)
     loop2 = next(l for l in nest2.loops if l.header == loop.header)
     collector = SptTraceCollector(
-        "main", loop2.header, loop2.body, info.loop_id, TimingModel()
+        "main", loop2.header, loop2.body, info.loop_id
     )
     run_module(module, args=[n], tracers=[collector])
     return simulate_spt_loop(collector)

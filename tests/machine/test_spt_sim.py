@@ -17,7 +17,6 @@ from repro.machine.spt_sim import (
     SptTraceCollector,
     simulate_spt_loop,
 )
-from repro.machine.timing import TimingModel
 from repro.profiling import run_module
 from repro.ssa import build_ssa
 
@@ -36,7 +35,7 @@ def _transform_and_trace(source, args, config=None, func_name="main"):
     nest2 = LoopNest.build(func)
     loop2 = next(l for l in nest2.loops if l.header == loop.header)
     collector = SptTraceCollector(
-        func_name, loop2.header, loop2.body, info.loop_id, TimingModel()
+        func_name, loop2.header, loop2.body, info.loop_id
     )
     result, _ = run_module(module, func_name=func_name, args=args, tracers=[collector])
     return collector, partition, result
