@@ -349,7 +349,6 @@ def _execute(tasks, jobs, cache_dir, telemetry, progress,
         workers[next_worker_id] = ClaimedWorker(
             ctx, next_worker_id, worker_main, task_queue, result_queue,
             cache_dir, extra_args=(heartbeat_s, observe),
-            name_prefix="repro-batch-worker",
         )
         next_worker_id += 1
 

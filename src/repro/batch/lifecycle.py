@@ -1,8 +1,5 @@
-"""Shared worker-process lifecycle primitives.
-
-Both multi-process front ends -- the one-shot batch driver
-(:mod:`repro.batch.driver`) and the long-lived serving pool
-(:mod:`repro.serve.pool`) -- need the same three building blocks:
+"""Worker-process lifecycle primitives of the batch driver
+(:mod:`repro.batch.driver`), in three building blocks:
 
 * a **claimed worker**: a child process paired with a shared-memory
   claim slot it stores the identifier of its in-flight work item in.
@@ -20,9 +17,8 @@ Both multi-process front ends -- the one-shot batch driver
   task may in fact have completed.
 
 :class:`ClaimedWorker` packages the first; :func:`start_heartbeat_thread`
-the second; :func:`drain_queue` the third.  The batch driver's merge
-policy (task-order manifests) and the serving pool's routing policy
-(request-id completion events) both sit *above* this module.
+the second; :func:`drain_queue` the third.  The driver's merge policy
+(task-order manifests) sits *above* this module.
 """
 
 from __future__ import annotations
@@ -41,8 +37,8 @@ class ClaimedWorker:
 
     ``target`` is the worker's main function; it receives
     ``(task_queue, result_queue, worker_id, cache_dir, claim,
-    *extra_args)`` -- the signature both :func:`repro.batch.worker.
-    worker_main` and :func:`repro.serve.pool.serve_worker_main` share.
+    *extra_args)`` -- the signature of :func:`repro.batch.worker.
+    worker_main`.
     The claim slot is a lock-free ``ctx.Value`` (a single aligned store
     per transition, no reader/writer coordination needed).
     """
@@ -56,18 +52,15 @@ class ClaimedWorker:
         result_queue,
         cache_dir: Optional[str],
         extra_args: tuple = (),
-        name_prefix: str = "repro-worker",
     ):
         self.worker_id = worker_id
-        # 'l' (signed long) rather than 'i': serving request ids are
-        # unbounded monotonic counters, not small task indices.
-        self.claim = ctx.Value("l", NO_CLAIM, lock=False)
+        self.claim = ctx.Value("i", NO_CLAIM, lock=False)
         self.process = ctx.Process(
             target=target,
             args=(task_queue, result_queue, worker_id, cache_dir, self.claim)
             + tuple(extra_args),
             daemon=True,
-            name=f"{name_prefix}-{worker_id}",
+            name=f"repro-batch-worker-{worker_id}",
         )
         self.process.start()
 

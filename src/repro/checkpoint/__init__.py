@@ -9,9 +9,7 @@ Layers (bottom up):
   on-disk snapshot store (``repro-checkpoint/1``), written with atomic
   rename + fsync, corruption-tolerant on load;
 * :mod:`repro.checkpoint.runner` -- the checkpointing simulation
-  driver behind ``repro simulate --checkpoint-every/--resume-from``;
-* :mod:`repro.checkpoint.phases` -- the compile-side phase-output
-  checkpoints the resilience ladder resumes from.
+  driver behind ``repro simulate --checkpoint-every/--resume-from``.
 
 See docs/checkpointing.md for the format, keys, and resume semantics.
 """

@@ -166,28 +166,12 @@ def cmd_dump_ir(args: argparse.Namespace) -> int:
     return 0
 
 
-def _phase_checkpoints_from_args(args: argparse.Namespace, telemetry):
-    """Build the PhaseCheckpointStore for --checkpoint-phases, or None."""
-    if not getattr(args, "checkpoint_phases", False):
-        return None
-    from repro.checkpoint.phases import PhaseCheckpointStore
-
-    directory = getattr(args, "checkpoint_dir", None)
-    if directory is not None:
-        directory = os.path.join(directory, "phases")
-    return PhaseCheckpointStore(directory, telemetry=telemetry)
-
-
 def cmd_compile(args: argparse.Namespace) -> int:
     module = load_module(args.source)
     config = _config_from_args(args)
     workload = Workload(entry=args.entry, args=tuple(_parse_args_list(args.args)))
     telemetry = _telemetry_from_args(args)
-    phase_checkpoints = _phase_checkpoints_from_args(args, telemetry)
-    result = compile_spt(
-        module, config, workload, telemetry=telemetry,
-        phase_checkpoints=phase_checkpoints,
-    )
+    result = compile_spt(module, config, workload, telemetry=telemetry)
 
     print(f"configuration: {args.config}")
     print(f"loop candidates: {len(result.candidates)}")
@@ -211,12 +195,6 @@ def cmd_compile(args: argparse.Namespace) -> int:
     print(f"selected SPT loops: {[i.header for i in result.spt_loops]}")
     if result.svp_infos:
         print(f"value predictions: {result.svp_infos}")
-    if phase_checkpoints is not None:
-        stats = phase_checkpoints.stats
-        print(
-            f"phase checkpoints: saves={stats.saves} "
-            f"restores={stats.restores} corrupt={stats.corrupt}"
-        )
     if args.emit_ir:
         print()
         print(format_module(module), end="")
@@ -232,11 +210,7 @@ def cmd_simulate(args: argparse.Namespace) -> int:
     train = _parse_args_list(args.train_args or args.args)
     workload = Workload(entry=args.entry, args=tuple(train))
     telemetry = _telemetry_from_args(args)
-    phase_checkpoints = _phase_checkpoints_from_args(args, telemetry)
-    result = compile_spt(
-        module, config, workload, telemetry=telemetry,
-        phase_checkpoints=phase_checkpoints,
-    )
+    result = compile_spt(module, config, workload, telemetry=telemetry)
     if not result.spt_loops:
         print("no SPT loops selected; nothing to simulate")
         _finish_telemetry(telemetry, args)
@@ -482,27 +456,6 @@ def cmd_batch(args: argparse.Namespace) -> int:
         print(f"live progress document written to {args.progress_json}")
     _finish_telemetry(telemetry, args)
     return 0 if result.ok else 1
-
-
-def cmd_serve(args: argparse.Namespace) -> int:
-    from repro.serve import run_daemon
-
-    return run_daemon(
-        workers=args.workers,
-        host=args.host,
-        port=args.port,
-        stdio=args.stdio,
-        queue_limit=args.queue_limit,
-        request_timeout_s=args.request_timeout,
-        program_timeout_s=args.program_timeout,
-        mem_cache_entries=args.mem_cache_entries,
-        cache_dir=args.cache_dir,
-        no_cache=args.no_cache,
-        ready_file=args.ready_file,
-        request_log_path=args.request_log,
-        max_body_bytes=args.max_body_bytes,
-        heartbeat_s=args.heartbeat,
-    )
 
 
 def cmd_report(args: argparse.Namespace) -> int:
@@ -805,24 +758,10 @@ def build_parser() -> argparse.ArgumentParser:
                  "(per-hook tracer event counts)",
         )
 
-    def add_checkpoint_options(p):
-        p.add_argument(
-            "--checkpoint-dir", default=None, metavar="DIR",
-            help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
-                 "else <cache-dir>/checkpoints)",
-        )
-        p.add_argument(
-            "--checkpoint-phases", action="store_true",
-            help="durably checkpoint completed compile phases (the "
-                 "partition search per loop) so a crashed or killed "
-                 "compile resumes past them on re-run",
-        )
-
     compile_p = sub.add_parser("compile", help="two-pass SPT compilation")
     add_source(compile_p)
     add_config_options(compile_p)
     add_obs_options(compile_p)
-    add_checkpoint_options(compile_p)
     compile_p.add_argument(
         "--emit-ir", action="store_true", help="print the transformed IR"
     )
@@ -832,9 +771,13 @@ def build_parser() -> argparse.ArgumentParser:
     add_source(sim_p)
     add_config_options(sim_p)
     add_obs_options(sim_p)
-    add_checkpoint_options(sim_p)
     sim_p.add_argument("--train-args", default=None,
                        help="profiling args (defaults to --args)")
+    sim_p.add_argument(
+        "--checkpoint-dir", default=None, metavar="DIR",
+        help="snapshot store root (default: $REPRO_CHECKPOINT_DIR, "
+             "else <cache-dir>/checkpoints)",
+    )
     sim_p.add_argument(
         "--checkpoint-every", type=int, default=0, metavar="N",
         help="durably snapshot the whole simulation every N executed "
@@ -946,78 +889,6 @@ def build_parser() -> argparse.ArgumentParser:
              "<checkpoint-dir>/batches)",
     )
     batch_p.set_defaults(fn=cmd_batch)
-
-    serve_p = sub.add_parser(
-        "serve",
-        help="run the warm-worker compilation daemon "
-             "(JSON-over-HTTP on localhost, or JSON-RPC on stdio)",
-    )
-    serve_p.add_argument(
-        "--workers", type=int, default=4,
-        help="pre-forked warm worker processes (default 4)",
-    )
-    serve_p.add_argument(
-        "--host", default="127.0.0.1",
-        help="HTTP bind address (default 127.0.0.1; keep it local)",
-    )
-    serve_p.add_argument(
-        "--port", type=int, default=8750,
-        help="HTTP port; 0 picks a free one (read it back from "
-             "--ready-file)",
-    )
-    serve_p.add_argument(
-        "--stdio", action="store_true",
-        help="speak JSON-RPC over stdin/stdout instead of HTTP",
-    )
-    serve_p.add_argument(
-        "--queue-limit", type=int, default=64,
-        help="max in-flight requests before 429 + Retry-After "
-             "(default 64)",
-    )
-    serve_p.add_argument(
-        "--request-timeout", type=float, default=60.0,
-        help="per-request deadline in seconds; a miss answers 504 "
-             "(default 60)",
-    )
-    serve_p.add_argument(
-        "--program-timeout", type=float, default=None,
-        help="per-compilation watchdog seconds inside the worker "
-             "(SIGALRM + one degraded-ladder retry, like repro batch)",
-    )
-    serve_p.add_argument(
-        "--mem-cache-entries", type=int, default=256,
-        help="in-memory LRU capacity in results; 0 disables the "
-             "memory tier (default 256)",
-    )
-    serve_p.add_argument(
-        "--cache-dir", default=None,
-        help="content-addressed disk cache directory shared with "
-             "repro batch (default: $REPRO_CACHE_DIR or ~/.cache/repro)",
-    )
-    serve_p.add_argument(
-        "--no-cache", action="store_true",
-        help="disable the disk cache tier (memory tier still applies)",
-    )
-    serve_p.add_argument(
-        "--ready-file", default=None,
-        help="write a JSON readiness document (pid, transport, actual "
-             "port) here once requests are accepted",
-    )
-    serve_p.add_argument(
-        "--request-log", default=None,
-        help="append one JSONL record per served request to this file",
-    )
-    serve_p.add_argument(
-        "--max-body-bytes", type=int, default=4 * 1024 * 1024,
-        help="reject request bodies larger than this with 413 "
-             "(default 4 MiB)",
-    )
-    serve_p.add_argument(
-        "--heartbeat", type=float, default=None,
-        help="worker heartbeat period in seconds (default: off; "
-             "liveness comes from the claim slots)",
-    )
-    serve_p.set_defaults(fn=cmd_serve)
 
     perf_p = sub.add_parser(
         "perf",

@@ -223,7 +223,6 @@ def _analyze_loop(
     modref: Optional[ModRefSummaries],
     telemetry=NULL_TELEMETRY,
     rung: str = RUNG_FULL,
-    phase_checkpoints=None,
     prebuilt_graph: Optional[LoopDepGraph] = None,
 ) -> Tuple[Optional[LoopCandidate], Optional[LoopDepGraph],
            Optional[DegradationRecord]]:
@@ -235,14 +234,11 @@ def _analyze_loop(
 
     ``prebuilt_graph`` is a dependence graph a previous (faulted) rung
     already built for this loop: the dep-graph phase is then skipped --
-    sound because ladder rungs only vary search-phase knobs.
-    ``phase_checkpoints`` is an optional :class:`repro.checkpoint.
-    phases.PhaseCheckpointStore`; when set, a completed search restores
-    from it and a fresh search is durably recorded into it."""
+    sound because ladder rungs only vary search-phase knobs."""
     with telemetry.span("analyze_loop", function=func.name, loop=loop.header):
         return _analyze_loop_inner(
             module, func, loop, config, edge_profile, dep_profile, modref,
-            telemetry, rung, phase_checkpoints, prebuilt_graph,
+            telemetry, rung, prebuilt_graph,
         )
 
 
@@ -256,7 +252,6 @@ def _analyze_loop_inner(
     modref: Optional[ModRefSummaries],
     telemetry=NULL_TELEMETRY,
     rung: str = RUNG_FULL,
-    phase_checkpoints=None,
     prebuilt_graph: Optional[LoopDepGraph] = None,
 ) -> Tuple[Optional[LoopCandidate], Optional[LoopDepGraph],
            Optional[DegradationRecord]]:
@@ -330,14 +325,8 @@ def _analyze_loop_inner(
         dynamic_size = sum(
             info.instr.cost * info.reach for info in graph.info.values()
         )
-        if phase_checkpoints is not None:
-            restored = phase_checkpoints.load_search(
-                func, loop.header, config, graph
-            )
-            if restored is not None:
-                return dynamic_size, restored, True
         partition = find_optimal_partition(graph, config, telemetry=telemetry)
-        return dynamic_size, partition, False
+        return dynamic_size, partition
 
     searched, record = run_contained(
         "search", _search, telemetry=telemetry,
@@ -345,12 +334,7 @@ def _analyze_loop_inner(
     )
     if record is not None:
         return None, graph, record
-    dynamic_size, partition, restored = searched
-    if phase_checkpoints is not None and not restored:
-        # Durably record the completed search (outside the firewall:
-        # save suppresses its own failures) so a crashed/killed compile
-        # resumes here instead of searching this loop again.
-        phase_checkpoints.save_search(func, loop.header, config, partition)
+    dynamic_size, partition = searched
 
     candidate = LoopCandidate(
         func.name,
@@ -392,7 +376,6 @@ def _analyze_loop_resilient(
     dep_profile: Optional[DependenceProfile],
     modref: Optional[ModRefSummaries],
     telemetry=NULL_TELEMETRY,
-    phase_checkpoints=None,
 ) -> Tuple[LoopCandidate, Optional[LoopDepGraph], List[DegradationRecord]]:
     """The degradation-ladder driver around :func:`_analyze_loop`.
 
@@ -403,19 +386,15 @@ def _analyze_loop_resilient(
     PASSTHROUGH` excepted); always returns a candidate, plus every
     degradation record the attempts produced.
 
-    Phase outputs checkpoint across rungs: a dependence graph built by
-    a rung whose *search* then faulted is handed to the next rung
-    instead of being rebuilt, and (with ``phase_checkpoints``) a
-    completed search is durably recorded so a crashed process resumes
-    past it."""
+    A dependence graph built by a rung whose *search* then faulted is
+    handed to the next rung instead of being rebuilt."""
     loop_key = f"{func.name}:{loop.header}"
     records: List[DegradationRecord] = []
     built_graph: Optional[LoopDepGraph] = None
     for rung, rung_config in ladder_rungs(config):
         candidate, graph, record = _analyze_loop(
             module, func, loop, rung_config, edge_profile, dep_profile,
-            modref, telemetry, rung=rung,
-            phase_checkpoints=phase_checkpoints, prebuilt_graph=built_graph,
+            modref, telemetry, rung=rung, prebuilt_graph=built_graph,
         )
         if graph is not None and built_graph is None:
             built_graph = graph
@@ -473,20 +452,13 @@ def _analyze_loop_resilient(
 
 def compile_spt(
     module: Module, config: SptConfig, workload: Workload, telemetry=None,
-    phase_checkpoints=None,
 ) -> CompilationResult:
     """Run the full two-pass SPT compilation on ``module`` in place.
 
     ``telemetry`` is an optional :class:`repro.obs.Telemetry`; every
     phase opens a span on it, each analyzed loop gets a child span, and
     the search/profiling layers below report counters.  The caller owns
-    the telemetry lifecycle (``close()`` flushes the sinks).
-
-    ``phase_checkpoints`` is an optional :class:`repro.checkpoint.
-    phases.PhaseCheckpointStore`: completed partition searches are
-    durably recorded there and restored on a re-run, so a compile that
-    crashed or hung mid-search resumes from its last finished phase
-    (see docs/checkpointing.md)."""
+    the telemetry lifecycle (``close()`` flushes the sinks)."""
     telemetry = telemetry or NULL_TELEMETRY
     result = CompilationResult(module, config)
 
@@ -549,7 +521,7 @@ def compile_spt(
             for loop in nest.loops:
                 candidate, graph, records = _analyze_loop_resilient(
                     module, func, loop, config, edge_profile, dep_profile,
-                    modref, telemetry, phase_checkpoints=phase_checkpoints,
+                    modref, telemetry,
                 )
                 result.degradations.extend(records)
                 candidates.append(candidate)
@@ -574,7 +546,6 @@ def compile_spt(
                     modref,
                     result,
                     telemetry,
-                    phase_checkpoints,
                 ),
                 telemetry=telemetry,
                 deadline_ms=config.phase_deadline_ms,
@@ -693,7 +664,6 @@ def _svp_round(
     modref,
     result,
     telemetry=NULL_TELEMETRY,
-    phase_checkpoints=None,
 ):
     """Value-profile critical VCs of high-cost loops, apply SVP, and
     re-analyze the loops that changed."""
@@ -761,7 +731,7 @@ def _svp_round(
             continue
         refreshed, graph, records = _analyze_loop_resilient(
             module, func, matching[0], config, edge_profile, dep_profile,
-            modref, telemetry, phase_checkpoints=phase_checkpoints,
+            modref, telemetry,
         )
         result.degradations.extend(records)
         refreshed.svp_applied = True

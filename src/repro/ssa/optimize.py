@@ -151,17 +151,25 @@ def eliminate_dead_code(func: Function) -> int:
 def simplify_branches(func: Function) -> int:
     """Turn branches on constants into jumps.
 
-    The blocks this strands are deleted by
-    :func:`remove_unreachable_blocks` (run together in :func:`optimize`),
-    which also purges the stale phi incomings -- popping incomings here
-    would miss dead paths that run through intermediate blocks.
+    The not-taken target's phis drop their incoming from the folded
+    block, which is no longer a predecessor.  The blocks this strands
+    are deleted by :func:`remove_unreachable_blocks` (run together in
+    :func:`optimize`), which also purges their phi incomings -- dead
+    paths that run through intermediate blocks.
     """
     count = 0
+    blocks = func.block_map()
     for blk in func.blocks:
         term = blk.terminator
         if isinstance(term, Branch) and isinstance(term.cond, Const):
-            taken = term.iftrue if term.cond.value else term.iffalse
+            taken, dropped = (
+                (term.iftrue, term.iffalse) if term.cond.value
+                else (term.iffalse, term.iftrue)
+            )
             blk.instrs[-1] = Jump(taken)
+            if dropped != taken:
+                for phi in blocks[dropped].phis():
+                    phi.incomings.pop(blk.label, None)
             count += 1
     return count
 

@@ -372,11 +372,14 @@ def _independent_replay(main_trace, spec_trace) -> Tuple[float, int]:
 
 
 def _eager_config() -> SptConfig:
+    """Loose selection thresholds, with dependence profiling on so the
+    profile-driven selections the best configs make are checked too."""
     return SptConfig(
         prefork_fraction=0.95,
         cost_fraction=0.9,
         min_body_size=2,
         selection_margin=2.0,
+        enable_dep_profiling=True,
     )
 
 

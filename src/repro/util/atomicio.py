@@ -1,9 +1,9 @@
 """Durable file IO primitives: atomic whole-file writes and whole-line
 appends.
 
-Four subsystems grew the same two idioms independently -- the batch
-result cache, the batch ``progress.json`` writer, the serve daemon's
-ready file, and the obs run ledger.  This module is the one shared
+Three subsystems grew the same two idioms independently -- the batch
+result cache, the batch ``progress.json`` writer, and the obs run
+ledger.  This module is the one shared
 implementation, and the checkpoint store builds on it, so a SIGKILL at
 any instant can leave behind **either** the old file or the new file,
 never a torn hybrid:

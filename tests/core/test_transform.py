@@ -287,6 +287,33 @@ def test_mid_body_exit_is_rejected():
         check_transformable(func, nest.loops[0])
 
 
+def test_unreconcilable_phi_raises_instead_of_guessing():
+    """A new predecessor whose phi value cannot be inferred (the other
+    incomings disagree) must fail the transform, not read as 0."""
+    from repro.core.transform import _fix_phi_incomings
+    from repro.ir import parse_function
+
+    func = parse_function(
+        """\
+func f(c, d) {
+entry:
+  br c, left, mid
+left:
+  jump join
+mid:
+  br d, right, join
+right:
+  jump join
+join:
+  r = phi [left: 1, right: 2]
+  ret r
+}
+"""
+    )
+    with pytest.raises(TransformError, match="cannot reconcile phi"):
+        _fix_phi_incomings(func)
+
+
 def test_transformed_function_verifies_as_ssa():
     from repro.ir import verify_function
 

@@ -4,10 +4,19 @@ with semantic equivalence checked by execution."""
 
 import pytest
 
-from repro.core import SptConfig, Workload, basic_config, best_config, compile_spt
+from repro.core import (
+    SptConfig,
+    Workload,
+    anticipated_config,
+    basic_config,
+    best_config,
+    compile_spt,
+)
 from repro.core.selection import CATEGORY_VALID
 from repro.frontend import compile_minic
 from repro.profiling import run_module
+from repro.profiling.compiled import CompiledMachine
+from repro.profiling.interp import Machine
 
 SOURCE = """
 global int data[4096];
@@ -154,3 +163,80 @@ int main(int n) {
     assert report2.unrolled
     got, _ = run_module(module2, args=[100])
     assert got == sum(i % 7 for i in range(100))
+
+
+#: A generated loop-heavy program (compile-generated benchmark, seed 24,
+#: program 89) that was miscompiled: SSA cleanup folded the inner
+#: while's constant ``break`` branch but left the folded edge as a phi
+#: incoming at the loop exit, and the SPT transform then filled the
+#: phi's unmatched predecessor with 0.
+GEN089 = """
+global int A[64] aliased;
+global int B[64];
+global int C[64] aliased;
+
+int helper0(int x) {
+    return (((((((x) * (2))) + (19))) + (A[(x) & 63]))) & 65535;
+}
+
+int main(int n) {
+    int s0 = 3;
+    int s1 = 10;
+    int s2 = 17;
+    int s3 = 24;
+    int s4 = 31;
+    int w0 = 0;
+    int w1 = 0;
+    int w2 = 0;
+    for (int i0 = 0; i0 < 64; i0++) {
+        A[(i0) & 63] = (((i0) * (33))) & 65535;
+    }
+    for (int i1 = 0; i1 < 64; i1++) {
+        B[(i1) & 63] = (((i1) * (28))) & 65535;
+    }
+    for (int i2 = 0; i2 < 64; i2++) {
+        C[(i2) & 63] = (((i2) * (12))) & 65535;
+    }
+    C[(B[(242) & 63]) & 63] = (helper0(B[(80) & 63])) & 65535;
+    B[(helper0(11)) & 63] = (helper0(A[(16) & 63])) & 65535;
+    w0 = 4;
+    while (w0 > 0) {
+        w0 = w0 - 1;
+        w1 = 7;
+        while (w1 > 0) {
+            w1 = w1 - 1;
+            s3 = (((s3) - (B[(C[(246) & 63]) & 63]))) & 65535;
+            if (((((108) + (51))) > (((s1) & (63))))) { break; }
+        }
+        s3 = (((s3) & (s3))) & 65535;
+        B[(((s4) / (((s2) & 7) + 1))) & 63] = (((helper0(113)) / (((A[(s2) & 63]) & 7) + 1))) & 65535;
+        if (((helper0(67)) < (((s4) & (s1))))) {
+            s3 = (((s3) + (((((C[(167) & 63]) / (((C[(1) & 63]) & 7) + 1))) >> ((184) & 7))))) & 65535;
+        }
+    }
+    for (int i3 = 0; i3 < 20; i3++) {
+        w2 = 8;
+        while (w2 > 0) {
+            w2 = w2 - 1;
+            s0 = (A[(254) & 63]) & 65535;
+            s0 = (n) & 65535;
+        }
+        for (int i4 = 0; i4 < 2; i4++) {
+            s3 = (((s3) - (s1))) & 65535;
+            s3 = (((s3) + (B[(s4) & 63]))) & 65535;
+            s4 = (((s4) + (helper0(138)))) & 65535;
+        }
+        s3 = (((s3) - (C[(s0) & 63]))) & 65535;
+        s0 = (((s0) + (((s2) % (((189) & 7) + 1))))) & 65535;
+    }
+    return (s0 + s1 + s2 + s3 + s4 + A[13] + B[6]) & 1048575;
+}
+"""
+
+
+def test_generated_program_keeps_its_value_under_anticipated():
+    assert Machine(compile_minic(GEN089)).run("main", [23]) == 54990
+    module = compile_minic(GEN089)
+    result = compile_spt(module, anticipated_config(), Workload(args=(23,)))
+    assert ("main", "while_head") in result.spt_loop_keys()
+    assert CompiledMachine(module).run("main", [23]) == 54990

@@ -183,3 +183,33 @@ def test_optimize_deletes_constant_dead_arms():
     module = _module_with(func)
     got, _ = run_module(module, func_name="f", args=[5, 0])
     assert got == 6
+
+
+def test_folded_branch_drops_its_phi_incoming():
+    """A constant branch folded to a jump leaves its block reachable but
+    no longer a predecessor of the not-taken target; that target's phi
+    must drop the incoming, or verification (and any pass trusting
+    phis) sees a path that no longer exists."""
+    func = parse_function(
+        """\
+func f(n) {
+entry:
+  s = copy 1
+  jump head
+head:
+  c = copy 1
+  br c, body, exit
+body:
+  s = add s, 2
+  br n, exit, head
+exit:
+  ret s
+}
+"""
+    )
+    module = _module_with(func)
+    build_ssa(func)
+    optimize(func)
+    verify_function(module, func, ssa=True)
+    got, _ = run_module(module, func_name="f", args=[1])
+    assert got == 3
